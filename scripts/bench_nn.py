@@ -26,7 +26,9 @@ Configurations:
   smaller.
 
 Both stacks consume the augmentation RNG in the identical order, so
-per-epoch train/val losses must agree within ``loss_tolerance``.
+per-epoch train/val losses must agree within ``loss_tolerance``.  The
+encoder is built in float64 (``COMPUTE_DTYPE`` pinned), the reference
+precision that bound is stated in; production trains in float32.
 
     python scripts/bench_nn.py [--out BENCH_nn.json]
                                [--min-speedup 3.0] [--repeats 2]
@@ -40,6 +42,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -47,6 +50,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro import nn  # noqa: E402
+from repro.core import encoder as encoder_module  # noqa: E402
 from repro.core.config import TriADConfig  # noqa: E402
 from repro.core.trainer import (  # noqa: E402
     contrastive_forward_fusion,
@@ -156,6 +160,7 @@ def _bench_config(series: np.ndarray, config: TriADConfig, repeats: int) -> dict
     }
 
 
+@mock.patch.object(encoder_module, "COMPUTE_DTYPE", np.float64)
 def run_bench(repeats: int = 2, min_speedup: float = 3.0,
               loss_tolerance: float = 1e-9) -> dict:
     series = bench_series()

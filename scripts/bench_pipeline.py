@@ -18,6 +18,8 @@ Both runs consume the RNG stream in the identical order, so their
 per-epoch losses must agree to ``loss_tolerance`` (in practice they are
 bit-equal; the pipeline tests assert the underlying exact identities).
 The acceptance gate requires ``speedup_x >= min_speedup`` (default 1.5).
+Both runs build their encoder in float64 (``COMPUTE_DTYPE`` pinned), the
+reference precision the ``<= 1e-9`` loss bound is stated in.
 
     python scripts/bench_pipeline.py [--out BENCH_pipeline.json]
                                      [--min-speedup 1.5] [--repeats 3]
@@ -30,6 +32,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -38,6 +41,7 @@ import numpy as np  # noqa: E402
 
 from repro import nn  # noqa: E402
 from repro.augment import augment_batch  # noqa: E402
+from repro.core import encoder as encoder_module  # noqa: E402
 from repro.core.config import TriADConfig  # noqa: E402
 from repro.core.encoder import TriDomainEncoder  # noqa: E402
 from repro.core.losses import total_contrastive_loss  # noqa: E402
@@ -182,6 +186,7 @@ def memoized_train(train_series: np.ndarray, config: TriADConfig):
     return result.train_losses, result.val_losses, result.plan
 
 
+@mock.patch.object(encoder_module, "COMPUTE_DTYPE", np.float64)
 def run_bench(repeats: int = 3, min_speedup: float = 1.5,
               loss_tolerance: float = 1e-9) -> dict:
     series = bench_series()

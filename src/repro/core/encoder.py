@@ -7,6 +7,10 @@ latent ``(batch, h_d, length)`` maps are funneled through two dense
 layers *shared across domains* into a one-dimensional representation
 ``r`` of shape ``(batch, length)``, which feeds the contrastive losses
 and the window similarity ranking.
+
+The encoder trains and scores in ``COMPUTE_DTYPE``: float32, the
+precision of the paper's PyTorch encoder.  float64 stays the reference
+the tests compare against (docs/PERF.md, "Precision").
 """
 
 from __future__ import annotations
@@ -18,7 +22,10 @@ from ..nn.tensor import Tensor
 from .config import TriADConfig
 from .features import domain_channels
 
-__all__ = ["ResidualBlock", "DilatedConvEncoder", "TriDomainEncoder"]
+__all__ = ["COMPUTE_DTYPE", "ResidualBlock", "DilatedConvEncoder", "TriDomainEncoder"]
+
+# Precision every new TriDomainEncoder is built in.
+COMPUTE_DTYPE = np.float32
 
 
 class ResidualBlock(nn.Module):
@@ -81,9 +88,18 @@ class TriDomainEncoder(nn.Module):
     ``forward`` returns L2-normalized representations so that dot
     products in the contrastive losses are bounded cosine similarities
     (see :class:`repro.core.config.TriADConfig.temperature`).
+
+    Parameters are initialized in float64 — so both precisions draw the
+    same weights from ``rng`` — and cast once to ``dtype``
+    (``COMPUTE_DTYPE`` when omitted).
     """
 
-    def __init__(self, config: TriADConfig, rng: np.random.Generator | None = None) -> None:
+    def __init__(
+        self,
+        config: TriADConfig,
+        rng: np.random.Generator | None = None,
+        dtype: np.typing.DTypeLike = None,
+    ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(config.seed)
         self.config = config
@@ -93,12 +109,22 @@ class TriDomainEncoder(nn.Module):
             setattr(self, f"encoder_{domain}", encoder)
         self.dense1 = nn.Linear(config.hidden_dim, config.hidden_dim, rng=rng)
         self.dense2 = nn.Linear(config.hidden_dim, 1, rng=rng)
+        dtype = COMPUTE_DTYPE if dtype is None else dtype
+        for param in self.parameters():
+            param.data = param.data.astype(dtype, copy=False)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The precision the parameters (and hence every forward) use."""
+        return self.dense2.weight.data.dtype
 
     def encode(self, features: np.ndarray | Tensor, domain: str) -> Tensor:
         """Encode one domain's ``(batch, channels, length)`` features."""
         if domain not in self.domains:
             raise KeyError(f"domain {domain!r} not active in this encoder")
         encoder: DilatedConvEncoder = getattr(self, f"encoder_{domain}")
+        if not isinstance(features, Tensor):
+            features = np.asarray(features, dtype=self.dtype)
         hidden = encoder(nn.as_tensor(features))  # (B, h_d, L)
         hidden = hidden.transpose(0, 2, 1)  # (B, L, h_d)
         projected = self.dense2(self.dense1(hidden).relu())  # (B, L, 1)

@@ -41,7 +41,7 @@ def intra_domain_loss(r: Tensor, r_aug: Tensor, temperature: float = 0.2) -> Ten
     positives = _pairwise_exp(r, r, temperature)  # originals vs originals
     negatives = _pairwise_exp(r, r_aug, temperature)  # originals vs augmented
     # sim(r_i, r_i^+) = sum_{j != i} exp(r_i . r_j): mask the diagonal.
-    off_diagonal = 1.0 - Tensor(np.eye(batch))
+    off_diagonal = 1.0 - Tensor(np.eye(batch, dtype=r.data.dtype))
     pos_term = (positives * off_diagonal).sum(axis=1)
     neg_term = negatives.sum(axis=1)
     loss = -((pos_term / (pos_term + neg_term)).log())
@@ -66,7 +66,7 @@ def inter_domain_loss(
         r = representations[domain]
         batch = r.shape[0]
         positives = _pairwise_exp(r, r, temperature)
-        off_diagonal = 1.0 - Tensor(np.eye(batch))
+        off_diagonal = 1.0 - Tensor(np.eye(batch, dtype=r.data.dtype))
         pos_term = (positives * off_diagonal).sum(axis=1)
         # Negatives: same window index, different domain (elementwise dots).
         neg_parts = []

@@ -61,7 +61,10 @@ def load_detector(path: str | os.PathLike) -> TriAD:
     config_dict = meta["config"]
     config_dict["domains"] = tuple(config_dict["domains"])
     config = TriADConfig(**config_dict)
-    encoder = TriDomainEncoder(config)
+    # The stored weights carry the precision they were trained in: files
+    # written before the float32 encoder hold float64 weights and load
+    # (and score) exactly as saved.
+    encoder = TriDomainEncoder(config, dtype=next(iter(state.values())).dtype)
     encoder.load_state_dict(state)
     encoder.eval()
 

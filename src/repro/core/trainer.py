@@ -67,7 +67,7 @@ def _contrastive_representations(
         return encoder(original_features), encoder(augmented_features)
     fused = encoder(
         {
-            d: np.concatenate([a, augmented_features[d]])
+            d: np.concatenate([a, augmented_features[d]], dtype=encoder.dtype)
             for d, a in original_features.items()
         }
     )
@@ -277,7 +277,13 @@ def train_encoder(
     rng = np.random.default_rng(config.seed)
     plan = pipeline.plan_for(train_series, config)
     windows, _ = pipeline.windows(train_series, plan.length, plan.stride)
-    all_features = pipeline.features(windows, plan.period, config.domains)
+    encoder = TriDomainEncoder(config, rng=np.random.default_rng(config.seed))
+    # Cast the cached features to the encoder's precision once here, not
+    # once per batch inside the epoch loop.
+    all_features = {
+        d: a.astype(encoder.dtype, copy=False)
+        for d, a in pipeline.features(windows, plan.period, config.domains).items()
+    }
 
     # Hold out a random validation slice (paper: 10%).  Features are
     # sliced with the same permutation so each split stays row-aligned
@@ -300,7 +306,6 @@ def train_encoder(
             "or lower min_window / periods_per_window"
         )
 
-    encoder = TriDomainEncoder(config, rng=np.random.default_rng(config.seed))
     learning_rate = config.learning_rate
     optimizer = nn.Adam(encoder.parameters(), lr=learning_rate)
     result = TrainResult(encoder=encoder, plan=plan, config=config)

@@ -215,7 +215,9 @@ def _pad_input(
     if not (pad_left or pad_right):
         return data
     batch, channels, length = data.shape
-    padded = np.zeros((batch, channels, length + pad_left + pad_right))
+    padded = np.zeros(
+        (batch, channels, length + pad_left + pad_right), dtype=data.dtype
+    )
     padded[:, :, pad_left : pad_left + length] = data
     return padded
 
@@ -266,7 +268,7 @@ def _conv1d_taps(
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
             grad_w = np.empty_like(weight.data)
-            scratch = np.empty((batch, out_channels, in_channels))
+            scratch = np.empty((batch, out_channels, in_channels), dtype=grad.dtype)
             for k in range(kernel_size):
                 start = k * dilation
                 tap = padded[:, :, start : start + full_length : stride]
@@ -277,7 +279,7 @@ def _conv1d_taps(
             bias._accumulate(grad.sum(axis=(0, 2)))
         if x.requires_grad:
             grad_padded = np.zeros_like(padded)
-            scratch = np.empty((batch, in_channels, out_length))
+            scratch = np.empty((batch, in_channels, out_length), dtype=grad.dtype)
             for k in range(kernel_size):
                 start = k * dilation
                 np.matmul(w_taps[k].transpose(1, 0), grad, out=scratch)
@@ -380,7 +382,9 @@ def _conv1d_fft(
     n_fft = next_fast_len(padded.shape[2])
 
     freq_x = np.fft.rfft(padded, n_fft, axis=2)  # (B, C, F)
-    dense_kernel = np.zeros((out_channels, in_channels, span + 1))
+    dense_kernel = np.zeros(
+        (out_channels, in_channels, span + 1), dtype=weight.data.dtype
+    )
     dense_kernel[:, :, ::dilation] = weight.data
     freq_w = np.fft.rfft(dense_kernel, n_fft, axis=2)  # (O, C, F)
 
@@ -395,7 +399,7 @@ def _conv1d_fft(
 
     def backward(grad: np.ndarray) -> None:
         if stride > 1:
-            dense_grad = np.zeros((batch, out_channels, full_length))
+            dense_grad = np.zeros((batch, out_channels, full_length), dtype=grad.dtype)
             dense_grad[:, :, ::stride] = grad
         else:
             dense_grad = grad

@@ -78,8 +78,12 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload.  Stored as ``float64`` by default so that
-        gradient checks against numerical differentiation are tight.
+        Array-like payload.  A ``float32`` array or numpy scalar keeps
+        its precision (the TriAD encoder trains in float32); anything
+        else is stored as ``float64``, so gradient checks against
+        numerical differentiation stay tight.  Python scalars in binary
+        ops take the tensor's dtype, as numpy's weak scalars do, so a
+        float32 graph never silently upcasts.
     requires_grad:
         Whether gradients should be accumulated into this tensor when
         :meth:`backward` is called on a downstream result.
@@ -97,7 +101,10 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float64)
+        if getattr(data, "dtype", None) == np.float32:
+            self.data = np.asarray(data)
+        else:
+            self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -174,7 +181,7 @@ class Tensor:
                 self.grad = buffer
                 self._grad_buffer = None
             else:
-                self.grad = np.array(grad, dtype=np.float64, copy=True)
+                self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -193,7 +200,7 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be supplied for non-scalar output")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=self.data.dtype)
         hook = hooks._TIMING_HOOK
         started = time.perf_counter() if hook is not None else 0.0
 
@@ -223,8 +230,15 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
+    def _operand(self, other) -> "Tensor":
+        """Coerce a binary-op operand; Python scalars take this tensor's
+        dtype, as numpy's weak scalars do."""
+        if isinstance(other, (int, float)):
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return as_tensor(other)
+
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -243,13 +257,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -262,7 +276,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
@@ -275,7 +289,7 @@ class Tensor:
         return Tensor._make(self.data / other.data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):

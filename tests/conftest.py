@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import encoder as encoder_module
 from repro.data import Dataset, DatasetSpec, make_dataset
+
+
+@pytest.fixture
+def float64_reference(monkeypatch):
+    """Build every TriDomainEncoder in float64, the reference precision
+    the tight equivalence tolerances are pinned in (production trains in
+    ``COMPUTE_DTYPE``, float32)."""
+    monkeypatch.setattr(encoder_module, "COMPUTE_DTYPE", np.float64)
 
 
 @pytest.fixture

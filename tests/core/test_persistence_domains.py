@@ -2,8 +2,9 @@
 
 ``save_detector``/``load_detector`` must reproduce the fitted state for
 any ``TriADConfig.domains`` choice — each subset persists a different
-set of encoders — and ``save_module``/``load_module`` must round-trip
-modules whose parameter names contain dots (submodule paths).
+set of encoders — and at the precision the weights were saved in, and
+``save_module``/``load_module`` must round-trip modules whose parameter
+names contain dots (submodule paths).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import TriAD, TriADConfig, nn
+from repro.core import encoder as encoder_module
 from repro.core import load_detector, save_detector
 from repro.core.config import DOMAINS
 from repro.nn import Tensor
@@ -54,6 +56,50 @@ class TestDomainSubsetRoundTrips:
         assert set(original) == set(reloaded) == set(domains)
         for domain in original:
             assert np.allclose(original[domain], reloaded[domain], atol=1e-12)
+
+
+class TestPrecisionRoundTrips:
+    """The stored weights tell the loader the encoder's precision."""
+
+    CONFIG = TriADConfig(depth=2, hidden_dim=8, epochs=1, seed=3, max_window=96)
+
+    @staticmethod
+    def _scores(detector, train_series):
+        windows = np.random.default_rng(0).normal(size=(4, detector.plan.length))
+        detection = detector.detect(train_series[::-1].copy())
+        return detector.representations(windows), detection
+
+    def _assert_reproduces(self, path, want, dtype, train_series):
+        restored = load_detector(path)
+        assert restored.encoder.dtype == dtype
+        want_reps, want_det = want
+        got_reps, got_det = self._scores(restored, train_series)
+        for domain in want_reps:
+            assert got_reps[domain].dtype == dtype
+            assert np.array_equal(got_reps[domain], want_reps[domain])
+        assert np.array_equal(got_det.predictions, want_det.predictions)
+        assert got_det.window == want_det.window
+
+    def test_float32_roundtrip_exact(self, train_series, tmp_path):
+        fitted = TriAD(self.CONFIG).fit(train_series)
+        assert fitted.encoder.dtype == np.float32
+        save_detector(fitted, tmp_path / "triad.npz")
+        want = self._scores(fitted, train_series)
+        self._assert_reproduces(tmp_path / "triad.npz", want, np.float32, train_series)
+
+    def test_legacy_float64_file_loads_as_float64(
+        self, train_series, tmp_path, float64_reference, monkeypatch
+    ):
+        """A file written before the float32 encoder: float64 weights and
+        no dtype field (the format never stored one)."""
+        legacy = TriAD(self.CONFIG).fit(train_series)
+        assert legacy.encoder.dtype == np.float64
+        save_detector(legacy, tmp_path / "legacy.npz")
+        want = self._scores(legacy, train_series)
+
+        monkeypatch.undo()  # load under the production precision
+        assert encoder_module.COMPUTE_DTYPE is np.float32
+        self._assert_reproduces(tmp_path / "legacy.npz", want, np.float64, train_series)
 
 
 class TestModuleRoundTrips:

@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TriADConfig, train_encoder
-from repro.core.trainer import contrastive_forward_fusion
+from repro import nn
+from repro.core import TriADConfig, TriDomainEncoder, train_encoder
+from repro.core.trainer import _epoch_loss, contrastive_forward_fusion
+from repro.nn import Tensor
+from repro.pipeline import default_pipeline
 
 
 @pytest.fixture
@@ -58,7 +61,9 @@ class TestTrainEncoder:
 
 
 class TestContrastiveForwardFusion:
-    def test_fused_forward_matches_two_pass(self, noisy_wave, fast_config):
+    def test_fused_forward_matches_two_pass(
+        self, noisy_wave, fast_config, float64_reference
+    ):
         """The concatenated [originals; augmented] pass must reproduce the
         two-pass losses: every encoder op is batch-row independent, so
         the only tolerated difference is BLAS rounding the last ulp
@@ -74,6 +79,57 @@ class TestContrastiveForwardFusion:
         ):
             assert name_a == name_b
             assert np.allclose(p_a.data, p_b.data, rtol=1e-10, atol=1e-12)
+
+
+class TestFloat32Step:
+    """The production encoder trains in float32 end to end.  A Python
+    scalar or an ``np.eye`` mask promoted to float64 would still train —
+    part of the graph would just silently run in double precision — so
+    every value the step creates is checked, not only the end state."""
+
+    def test_one_step_leaves_everything_float32(self, noisy_wave, monkeypatch):
+        config = TriADConfig(
+            depth=2, hidden_dim=8, epochs=1, seed=0, max_window=128, batch_size=8
+        )
+        pipeline = default_pipeline()
+        plan = pipeline.plan_for(noisy_wave, config)
+        windows, _ = pipeline.windows(noisy_wave, plan.length, plan.stride)
+        windows = windows[: config.batch_size]
+        encoder = TriDomainEncoder(config)
+        features = {
+            d: a.astype(encoder.dtype)
+            for d, a in pipeline.features(windows, plan.period, config.domains).items()
+        }
+        optimizer = nn.Adam(encoder.parameters(), lr=config.learning_rate)
+
+        made, accumulated = set(), set()
+        make, accumulate = Tensor._make, Tensor._accumulate
+
+        def recording_make(data, parents, backward):
+            made.add(np.asarray(data).dtype)
+            return make(data, parents, backward)
+
+        def recording_accumulate(tensor, grad):
+            accumulated.add(np.asarray(grad).dtype)
+            accumulate(tensor, grad)
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+        monkeypatch.setattr(Tensor, "_accumulate", recording_accumulate)
+        with contrastive_forward_fusion(True):
+            loss = _epoch_loss(
+                encoder, windows, plan.period, config, np.random.default_rng(0),
+                optimizer, features=features,
+            )
+
+        assert np.isfinite(loss)
+        assert optimizer._step_count == 1
+        assert made == {np.dtype(np.float32)}
+        assert accumulated == {np.dtype(np.float32)}
+        for name, param in encoder.named_parameters():
+            assert param.data.dtype == np.float32, name
+            assert param.grad.dtype == np.float32, name
+        for moment in optimizer._m + optimizer._v:
+            assert moment.dtype == np.float32
 
 
 class TestDataParallelTraining:

@@ -184,3 +184,35 @@ class TestFastPathGradients:
                 lambda a, c: F.conv1d(a, c, padding="same", stride=2).sum(),
                 [x, w],
             )
+
+
+class TestFloat32:
+    """Every mode keeps a float32 conv in float32 — output and all three
+    gradients — and agrees with the float64 result of the same mode to
+    float32 precision (the TriAD encoder trains in float32)."""
+
+    @pytest.mark.parametrize("mode", ["auto", "gemm", "fft", "reference"])
+    @pytest.mark.parametrize(
+        "kernel_size", [3, F.TAP_GEMM_MAX_K + 2], ids=["taps", "im2col"]
+    )
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_float32_stays_float32_and_matches_float64(
+        self, rng, mode, kernel_size, padding
+    ):
+        x = rng.normal(size=(3, 4, 40))
+        w = rng.normal(size=(5, 4, kernel_size))
+        b = rng.normal(size=5)
+        results = {}
+        for dtype in (np.float32, np.float64):
+            with F.conv1d_mode(mode):
+                leaves = [
+                    Tensor(a.astype(dtype), requires_grad=True) for a in (x, w, b)
+                ]
+                out = F.conv1d(*leaves, padding=padding, dilation=2)
+                cotangent = np.cos(np.arange(out.data.size)).reshape(out.shape)
+                (out * Tensor(cotangent.astype(dtype))).sum().backward()
+            results[dtype] = [out.data] + [leaf.grad for leaf in leaves]
+        for got, want in zip(results[np.float32], results[np.float64]):
+            assert got.dtype == np.float32
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * scale)

@@ -5,17 +5,19 @@ Times a full Table IV-style MERLIN length sweep (every length in
 ``16..128`` step 8 over a 1200-point series with one planted anomaly)
 under two stacks:
 
-- **reference** — ``set_discord_mode("reference")``: the original
-  scalar per-module paths, no ``SeriesContext`` reuse, no lower-bound
-  seeding, no pre-pruning;
-- **fast** — ``set_discord_mode("auto")`` (the default): one
+- **reference** — ``kernels._DISCORD_MODE`` patched to ``"reference"``
+  with ``unittest.mock.patch.object``: the original scalar per-module
+  paths, no ``SeriesContext`` reuse, no lower-bound seeding, no
+  pre-pruning;
+- **fast** — the production selection rule (``"auto"``): one
   prefix-sum ``SeriesContext`` threaded across the whole schedule,
   blocked/FFT distance profiles, DRAG as blocked sweeps + one batched
   NN scan, MERLIN's cross-length lower-bound seeding and pre-pruning.
 
 The gate: ``speedup_x >= min_speedup`` (default 5.0) with **identical
 discord indices and lengths** and distances within ``tolerance``
-(default 1e-9) across every length in the sweep.
+(default 1e-9) across every length in the sweep.  The report's
+``machine`` block records the usable core count.
 
     python scripts/bench_discord.py [--out BENCH_discord.json]
                                     [--min-speedup 5.0] [--repeats 3]
@@ -25,16 +27,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.discord import discord_mode, merlin  # noqa: E402
+from repro.discord import kernels, merlin  # noqa: E402
 
 SERIES_LENGTH = 2000
 SERIES_PERIOD = 100
@@ -58,7 +63,7 @@ def bench_series() -> np.ndarray:
 
 
 def _sweep(series: np.ndarray, mode: str):
-    with discord_mode(mode):
+    with mock.patch.object(kernels, "_DISCORD_MODE", mode):
         start = time.perf_counter()
         result = merlin(series, MIN_LENGTH, MAX_LENGTH, step=STEP)
         elapsed = time.perf_counter() - start
@@ -94,6 +99,11 @@ def run_bench(repeats: int = 3, min_speedup: float = 5.0,
         and distance_diff <= tolerance
     )
     return {
+        "machine": {
+            "usable_cores": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "config": {
             "series_length": SERIES_LENGTH,
             "series_period": SERIES_PERIOD,

@@ -4,11 +4,13 @@
 Times complete :func:`repro.core.trainer.train_encoder` runs on two
 configurations, each under two kernel stacks:
 
-- **reference** — the exact pre-fast-path stack: per-tap
-  ``np.stack`` + einsum convolution (``conv1d_mode("reference")``),
-  allocation-per-step optimizers (``fused_optimizers(False)``), and the
-  original two-pass contrastive forward
-  (``contrastive_forward_fusion(False)``);
+- **reference** — the exact pre-fast-path stack, pinned with
+  ``unittest.mock.patch.object``: per-tap ``np.stack`` + einsum
+  convolution (``functional._CONV1D_MODE = "reference"``),
+  allocation-per-step optimizers (``Adam.step`` replaced by
+  ``Adam._step_reference``), and the original two-pass contrastive
+  forward (``trainer._contrastive_representations`` replaced by one
+  encoder pass per batch);
 - **fast** — the current defaults: GEMM/FFT convolutions, fused
   in-place optimizer steps, recycled gradient buffers, and the fused
   ``[originals; augmented]`` forward.
@@ -28,7 +30,8 @@ Configurations:
 Both stacks consume the augmentation RNG in the identical order, so
 per-epoch train/val losses must agree within ``loss_tolerance``.  The
 encoder is built in float64 (``COMPUTE_DTYPE`` pinned), the reference
-precision that bound is stated in; production trains in float32.
+precision that bound is stated in; production trains in float32.  The
+report's ``machine`` block records the usable core count.
 
     python scripts/bench_nn.py [--out BENCH_nn.json]
                                [--min-speedup 3.0] [--repeats 2]
@@ -39,6 +42,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -51,11 +56,10 @@ import numpy as np  # noqa: E402
 
 from repro import nn  # noqa: E402
 from repro.core import encoder as encoder_module  # noqa: E402
+from repro.core import trainer  # noqa: E402
 from repro.core.config import TriADConfig  # noqa: E402
-from repro.core.trainer import (  # noqa: E402
-    contrastive_forward_fusion,
-    train_encoder,
-)
+from repro.core.trainer import train_encoder  # noqa: E402
+from repro.nn import functional  # noqa: E402
 from repro.pipeline import FeatureCache, FeaturePipeline  # noqa: E402
 
 SERIES_PERIOD = 200
@@ -92,12 +96,22 @@ def bench_series() -> np.ndarray:
     )
 
 
+def _two_pass_forward(encoder, original_features, augmented_features, size):
+    """The pre-fusion contrastive forward: one encoder pass per batch."""
+    return encoder(original_features), encoder(augmented_features)
+
+
 @contextlib.contextmanager
 def _stack(fast: bool):
-    """Pin the whole kernel stack to the fast or the reference paths."""
-    mode = "auto" if fast else "reference"
-    with nn.conv1d_mode(mode), nn.fused_optimizers(fast), \
-            contrastive_forward_fusion(fast):
+    """Run the production paths, or pin the whole reference stack."""
+    if fast:
+        yield
+        return
+    with mock.patch.object(functional, "_CONV1D_MODE", "reference"), \
+            mock.patch.object(nn.Adam, "step", nn.Adam._step_reference), \
+            mock.patch.object(
+                trainer, "_contrastive_representations", _two_pass_forward
+            ):
         yield
 
 
@@ -172,6 +186,11 @@ def run_bench(repeats: int = 2, min_speedup: float = 3.0,
         and default["loss_max_abs_diff"] <= loss_tolerance
     )
     return {
+        "machine": {
+            "usable_cores": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "repeats": repeats,
         "wide_kernel": wide,
         "default_kernel": default,

@@ -23,6 +23,11 @@ __all__ = ["save_detector", "load_detector"]
 
 _META_KEY = "__triad_meta__"
 _TRAIN_KEY = "__train_series__"
+# Config fields since removed from TriADConfig that older files still
+# carry.  Neither changes scores (the discord kernel modes were
+# result-identical; data-parallel workers only shaped training), so
+# loading drops them.  Any other unknown key still fails.
+_RETIRED_CONFIG_KEYS = ("discord_mode", "data_parallel_workers")
 
 
 def save_detector(detector: TriAD, path: str | os.PathLike) -> None:
@@ -59,6 +64,8 @@ def load_detector(path: str | os.PathLike) -> TriAD:
         }
 
     config_dict = meta["config"]
+    for key in _RETIRED_CONFIG_KEYS:
+        config_dict.pop(key, None)
     config_dict["domains"] = tuple(config_dict["domains"])
     config = TriADConfig(**config_dict)
     # The stored weights carry the precision they were trained in: files

@@ -1,8 +1,7 @@
 """Discord discovery algorithms: brute force, DRAG, MERLIN, MERLIN++,
 and the matrix profile — all built on the shared chunked distance-kernel
-layer in :mod:`repro.discord.kernels` (``set_discord_mode`` selects the
-implementation family; ``reference`` restores the original scalar
-loops)."""
+layer in :mod:`repro.discord.kernels`, which picks blocked or FFT sweeps
+by one size rule; the original scalar loops stay as test oracles."""
 
 from .brute import Discord, brute_force_discord
 from .distance import (
@@ -14,12 +13,8 @@ from .distance import (
 from .damp import DampResult, damp
 from .drag import drag
 from .kernels import (
-    DISCORD_MODES,
     SeriesContext,
-    discord_mode,
-    get_discord_mode,
     nearest_neighbor_distances,
-    set_discord_mode,
 )
 from .matrix_profile import MatrixProfile, matrix_profile
 from .motifs import Motif, top_k_motifs
@@ -38,11 +33,7 @@ __all__ = [
     "damp",
     "Discord",
     "brute_force_discord",
-    "DISCORD_MODES",
     "SeriesContext",
-    "discord_mode",
-    "get_discord_mode",
-    "set_discord_mode",
     "default_exclusion",
     "nearest_neighbor_distances",
     "trivial_match_mask",

@@ -17,8 +17,9 @@ product against the cached z-norm matrix (``||a-b||^2 = ||a||^2 +
 ||b||^2 - 2 a.b``) instead of materializing ``block - z[i]``; the
 doubling/early-abandon control flow — DAMP's actual contribution — is
 unchanged, and ``distances_computed`` counts the same work either way.
-``set_discord_mode("reference")`` restores the original subtract-and-
-square loop verbatim.
+The original subtract-and-square loop is kept verbatim as the reference
+oracle, reached when tests patch ``kernels._DISCORD_MODE`` to
+``"reference"``.
 """
 
 from __future__ import annotations

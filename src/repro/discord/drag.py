@@ -23,8 +23,8 @@ any pair at distance < ``r`` with non-trivial separation eliminates both
 members, which can only prune **more** than the sequential scan (every
 such elimination certifies a nearest neighbor below ``r``), never the
 true discord; phase 2's exact filter makes the final answer identical.
-``set_discord_mode("reference")`` restores the original sequential scan
-verbatim as the equivalence oracle.
+The original sequential scan is kept verbatim as the equivalence oracle,
+reached when tests patch ``kernels._DISCORD_MODE`` to ``"reference"``.
 """
 
 from __future__ import annotations

@@ -19,22 +19,22 @@ Three pieces:
 - Batched primitives — :func:`distance_profiles` (squared distances from
   a batch of query subsequences to *all* subsequences) and
   :func:`nn_profile` / :func:`nearest_neighbor_distances` (the full
-  nearest-non-trivial-neighbor profile), each dispatching on the active
-  mode.
-- Mode dispatch — :func:`set_discord_mode` / :func:`get_discord_mode` /
-  :func:`discord_mode`, mirroring ``repro.nn.set_conv1d_mode``:
-
-  - ``"auto"`` (default) — blocked GEMM sweeps, switching to the FFT
-    path for very long subsequences on large counts;
-  - ``"blocked"`` — chunked matrix products against the cached z-norm
-    matrix;
-  - ``"fft"`` — MASS-style sliding dot products through the cached
-    series rFFT plus prefix-sum moments (no z matrix materialized).
-    Falls back to ``blocked`` when any window's std is too small for
-    the FFT's absolute error to survive the z-normalization divide
-    (counted in ``discord.kernels.fft_fallbacks``);
-  - ``"reference"`` — the original scalar/loop implementations, kept
-    verbatim in each algorithm module as the equivalence oracle.
+  nearest-non-trivial-neighbor profile), each dispatching through
+  :func:`resolve_mode`.
+- Kernel selection — :func:`resolve_mode` applies one rule, mirroring
+  ``repro.nn.functional.conv1d``: blocked GEMM sweeps (chunked matrix
+  products against the cached z-norm matrix), switching to the FFT
+  path (MASS-style sliding dot products through the cached series rFFT
+  plus prefix-sum moments, no z matrix materialized) for very long
+  subsequences on large counts.  The fft path falls back to blocked
+  when any window's std is too small for the FFT's absolute error to
+  survive the z-normalization divide (counted in
+  ``discord.kernels.fft_fallbacks``).  The private ``_DISCORD_MODE``
+  (``"auto"``) names the rule; tests and the benchmark force
+  ``"blocked"``, ``"fft"`` or ``"reference"`` — the original
+  scalar/loop implementations, kept verbatim in each algorithm module
+  as the equivalence oracle — by patching it with
+  ``unittest.mock.patch.object``.
 
 Numerical contract (asserted by the hypothesis suite in
 ``tests/discord``): blocked/fft modes match the reference oracle with
@@ -48,7 +48,6 @@ bit-identically to :func:`repro.discord.distance.znorm_subsequences`.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import OrderedDict
 
@@ -59,10 +58,6 @@ from .distance import _EPS, default_exclusion, znorm_subsequences
 from .distance import nearest_neighbor_distances as _reference_nn_distances
 
 __all__ = [
-    "DISCORD_MODES",
-    "set_discord_mode",
-    "get_discord_mode",
-    "discord_mode",
     "default_exclusion",
     "SeriesContext",
     "as_context",
@@ -73,7 +68,8 @@ __all__ = [
     "nearest_neighbor_distances",
 ]
 
-DISCORD_MODES = ("auto", "blocked", "fft", "reference")
+# "auto" applies :func:`resolve_mode`'s rule; tests patch in "blocked",
+# "fft" or "reference" to force one implementation.
 _DISCORD_MODE = "auto"
 
 # ``auto`` switches to the FFT path only when a blocked GEMM row costs
@@ -122,42 +118,15 @@ def snap_argmax(values: np.ndarray) -> int:
     return int(np.flatnonzero(values >= best - TIE_TOL)[0])
 
 
-def set_discord_mode(mode: str) -> str:
-    """Select the discord kernel implementation; returns the previous mode.
-
-    ``"auto"`` (default) runs blocked GEMM sweeps, switching to the FFT
-    path for very long subsequences; ``"blocked"``, ``"fft"`` and
-    ``"reference"`` force one implementation (tests and benchmarks).
-    """
-    global _DISCORD_MODE
-    if mode not in DISCORD_MODES:
-        raise ValueError(f"unknown discord mode {mode!r}; choose from {DISCORD_MODES}")
-    previous = _DISCORD_MODE
-    _DISCORD_MODE = mode
-    return previous
-
-
-def get_discord_mode() -> str:
-    """Return the active discord kernel mode."""
-    return _DISCORD_MODE
-
-
-@contextlib.contextmanager
-def discord_mode(mode: str):
-    """Context manager pinning the discord kernel implementation."""
-    previous = set_discord_mode(mode)
-    try:
-        yield
-    finally:
-        set_discord_mode(previous)
+def _reference_active() -> bool:
+    """Whether the reference oracles are forced (tests and benchmarks)."""
+    return _DISCORD_MODE == "reference"
 
 
 def resolve_mode(mode: str | None, length: int, count: int) -> str:
     """Collapse ``None``/``"auto"`` to a concrete kernel choice."""
     if mode is None:
         mode = _DISCORD_MODE
-    elif mode not in DISCORD_MODES:
-        raise ValueError(f"unknown discord mode {mode!r}; choose from {DISCORD_MODES}")
     if mode == "auto":
         if length >= AUTO_FFT_MIN_LENGTH and count >= AUTO_FFT_MIN_COUNT:
             return "fft"
@@ -447,9 +416,8 @@ def nearest_neighbor_distances(
     chunk: int = 512,
     *,
     ctx: SeriesContext | None = None,
-    mode: str | None = None,
 ) -> np.ndarray:
-    """Mode-dispatching nearest-neighbor profile (the package entry point).
+    """Kernel-dispatching nearest-neighbor profile (the package entry point).
 
     Same contract as :func:`repro.discord.distance.
     nearest_neighbor_distances` (which remains the reference oracle):
@@ -461,7 +429,7 @@ def nearest_neighbor_distances(
     """
     if exclusion is None:
         exclusion = default_exclusion(length, "profile")
-    resolved = resolve_mode(mode, length, max(len(np.asarray(series)) - length + 1, 0))
+    resolved = resolve_mode(None, length, max(len(np.asarray(series)) - length + 1, 0))
     if resolved == "reference" and ctx is None:
         return _reference_nn_distances(series, length, exclusion=exclusion, chunk=chunk)
     context = as_context(series, ctx)

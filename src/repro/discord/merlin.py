@@ -34,8 +34,9 @@ is reused two ways before each DRAG call:
 
 Both reuses only tighten DRAG's pruning; the discord returned is
 identical because a successful DRAG always reports the exact argmax over
-subsequences with NN distance >= ``r``.  ``set_discord_mode("reference")``
-disables them and restores the original schedule verbatim.
+subsequences with NN distance >= ``r``.  The reference oracle (tests
+patch ``kernels._DISCORD_MODE`` to ``"reference"``) disables them and
+runs the original schedule verbatim.
 
 TriAD invokes MERLIN only on the short padded region around its
 suspected window, which is where the 10x inference speedup of Table IV
@@ -51,7 +52,7 @@ import numpy as np
 from .. import obs
 from .brute import Discord, brute_force_discord
 from .drag import drag
-from .kernels import SeriesContext, distance_profiles, get_discord_mode
+from .kernels import SeriesContext, _reference_active, distance_profiles
 
 __all__ = ["MerlinResult", "merlin"]
 
@@ -132,7 +133,7 @@ def merlin(
     result = MerlinResult()
     # One moment/FFT cache for the whole sweep; the reference mode runs
     # the original per-length path untouched.
-    ctx = None if get_discord_mode() == "reference" else SeriesContext(series)
+    ctx = None if _reference_active() else SeriesContext(series)
     prev_index: int | None = None
     # Track *length-normalized* discord distances (z-norm distances grow
     # like sqrt(length)), so the schedule stays valid for any step size.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .brute import Discord
 from .distance import znorm_subsequences
-from .kernels import SeriesContext, get_discord_mode
+from .kernels import SeriesContext, _reference_active
 from .merlin import MerlinResult
 
 __all__ = ["merlinpp"]
@@ -69,7 +69,7 @@ def merlinpp(
     result = MerlinResult()
     # Share prefix-sum moments across the length sweep; reference mode
     # keeps the original per-length normalization.
-    ctx = None if get_discord_mode() == "reference" else SeriesContext(series)
+    ctx = None if _reference_active() else SeriesContext(series)
     recent_norm: list[float] = []
     for position, length in enumerate(lengths):
         exclusion = max(int(round(exclusion_factor * length)), 1)

@@ -7,7 +7,6 @@ gradient checking utilities.
 
 from . import functional
 from .activations import ELU, GELU, LeakyReLU, Softplus, elu, gelu, leaky_relu, softplus
-from .functional import conv1d_mode, get_conv1d_mode, set_conv1d_mode
 from .attention import MultiHeadSelfAttention
 from .data import BatchIterator
 from .gradcheck import check_gradients, numerical_gradient
@@ -31,9 +30,6 @@ from .optim import (
     Optimizer,
     RMSProp,
     clip_grad_norm,
-    fused_enabled,
-    fused_optimizers,
-    set_fused_optimizers,
 )
 from .pooling import AvgPool1d, GlobalAvgPool1d, GlobalMaxPool1d, MaxPool1d
 from .rnn import LSTM, LSTMCell
@@ -73,12 +69,6 @@ __all__ = [
     "AdamW",
     "RMSProp",
     "clip_grad_norm",
-    "fused_optimizers",
-    "fused_enabled",
-    "set_fused_optimizers",
-    "conv1d_mode",
-    "get_conv1d_mode",
-    "set_conv1d_mode",
     "MaxPool1d",
     "AvgPool1d",
     "GlobalMaxPool1d",

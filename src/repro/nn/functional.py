@@ -24,13 +24,13 @@ docs/PERF.md):
 - **reference** — the original per-tap ``np.stack`` + einsum gather,
   kept as the equivalence oracle for tests and ``BENCH_nn.json``.
 
-:func:`set_conv1d_mode` / :func:`conv1d_mode` switch between them; the
-default ``"auto"`` picks gemm unless the FFT heuristic fires.
+``conv1d`` picks gemm unless the FFT heuristic fires.  The private
+``_CONV1D_MODE`` (``"auto"``) names the selection rule; tests and the
+benchmark reach a forced path (``"gemm"``, ``"fft"``, ``"reference"``) by
+patching it with ``unittest.mock.patch.object``.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from .tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
     "conv1d",
-    "conv1d_mode",
-    "get_conv1d_mode",
-    "set_conv1d_mode",
     "softmax",
     "log_softmax",
     "logsumexp",
@@ -52,7 +49,8 @@ __all__ = [
     "cosine_similarity",
 ]
 
-_CONV1D_MODES = ("auto", "gemm", "fft", "reference")
+# "auto" applies the selection rule below; tests patch in "gemm", "fft"
+# or "reference" to force one implementation.
 _CONV1D_MODE = "auto"
 
 # Kernels up to this many taps skip the im2col pack: K accumulated
@@ -75,37 +73,6 @@ IM2COL_MAX_BYTES = 8 << 20
 # K=3 encoders never trip either threshold.
 FFT_MIN_TAPS = 32
 FFT_MIN_SPAN = 24
-
-
-def set_conv1d_mode(mode: str) -> str:
-    """Select the ``conv1d`` implementation; returns the previous mode.
-
-    ``"auto"`` (default) uses the GEMM formulation, switching to the FFT
-    path for large kernel×dilation spans at stride 1; ``"gemm"``,
-    ``"fft"`` and ``"reference"`` force one implementation (tests and
-    benchmarks).
-    """
-    global _CONV1D_MODE
-    if mode not in _CONV1D_MODES:
-        raise ValueError(f"unknown conv1d mode {mode!r}; choose from {_CONV1D_MODES}")
-    previous = _CONV1D_MODE
-    _CONV1D_MODE = mode
-    return previous
-
-
-def get_conv1d_mode() -> str:
-    """Return the active ``conv1d`` implementation mode."""
-    return _CONV1D_MODE
-
-
-@contextlib.contextmanager
-def conv1d_mode(mode: str):
-    """Context manager pinning the ``conv1d`` implementation."""
-    previous = set_conv1d_mode(mode)
-    try:
-        yield
-    finally:
-        set_conv1d_mode(previous)
 
 
 def _conv1d_geometry(

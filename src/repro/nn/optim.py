@@ -12,13 +12,12 @@ Every optimizer ships two step implementations behind the one
   so updates are bit-identical (pinned by ``tests/nn/test_optim_fused``
   and the ``BENCH_nn.json`` gate).
 - **reference** — the original allocation-per-step implementation, kept
-  verbatim as the equivalence oracle; selected via
-  :func:`set_fused_optimizers` / :func:`fused_optimizers`.
+  verbatim as ``_step_reference()``: the equivalence oracle, which tests
+  and the benchmark call directly.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Iterable
 
 import numpy as np
@@ -32,36 +31,7 @@ __all__ = [
     "AdamW",
     "RMSProp",
     "clip_grad_norm",
-    "fused_optimizers",
-    "fused_enabled",
-    "set_fused_optimizers",
 ]
-
-_FUSED_ENABLED = True
-
-
-def set_fused_optimizers(enabled: bool) -> bool:
-    """Toggle the fused step implementations; returns the previous value."""
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    return previous
-
-
-def fused_enabled() -> bool:
-    """Return whether optimizer steps use the fused in-place path."""
-    return _FUSED_ENABLED
-
-
-@contextlib.contextmanager
-def fused_optimizers(enabled: bool):
-    """Context manager pinning the fused/reference step selection."""
-    previous = set_fused_optimizers(enabled)
-    try:
-        yield
-    finally:
-        set_fused_optimizers(previous)
-
 
 class Optimizer:
     """Base optimizer holding a flat list of parameters."""
@@ -97,8 +67,6 @@ class SGD(Optimizer):
         self._scratch: list[np.ndarray] | None = None
 
     def step(self) -> None:
-        if not _FUSED_ENABLED:
-            return self._step_reference()
         if self._scratch is None:
             self._scratch = [np.empty_like(p.data) for p in self.parameters]
         for param, velocity, scratch in zip(
@@ -162,8 +130,6 @@ class Adam(Optimizer):
         return self._scratch
 
     def step(self) -> None:
-        if not _FUSED_ENABLED:
-            return self._step_reference()
         scratch = self._ensure_scratch()
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
@@ -234,14 +200,6 @@ class AdamW(Adam):
         self.decoupled_weight_decay = weight_decay
 
     def step(self) -> None:
-        if not _FUSED_ENABLED:
-            if self.decoupled_weight_decay:
-                for param in self.parameters:
-                    if param.grad is not None:
-                        param.data -= (
-                            self.lr * self.decoupled_weight_decay * param.data
-                        )
-            return super().step()
         if self.decoupled_weight_decay:
             decay = self.lr * self.decoupled_weight_decay
             for param, (s1, _) in zip(self.parameters, self._ensure_scratch()):
@@ -249,6 +207,15 @@ class AdamW(Adam):
                     np.multiply(param.data, decay, out=s1)
                     np.subtract(param.data, s1, out=param.data)
         super().step()
+
+    def _step_reference(self) -> None:
+        if self.decoupled_weight_decay:
+            for param in self.parameters:
+                if param.grad is not None:
+                    param.data -= (
+                        self.lr * self.decoupled_weight_decay * param.data
+                    )
+        super()._step_reference()
 
 
 class RMSProp(Optimizer):
@@ -269,8 +236,6 @@ class RMSProp(Optimizer):
         self._scratch: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def step(self) -> None:
-        if not _FUSED_ENABLED:
-            return self._step_reference()
         if self._scratch is None:
             self._scratch = [
                 (np.empty_like(p.data), np.empty_like(p.data))

@@ -34,6 +34,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             TriADConfig(domains=())
 
+    @pytest.mark.parametrize("batch_size", [-1, 0, 1])
+    def test_batch_size_below_two_rejected(self, batch_size):
+        """A contrastive batch needs at least two windows; smaller
+        batches were all dropped, so training silently did nothing."""
+        with pytest.raises(ValueError, match="batch_size"):
+            TriADConfig(batch_size=batch_size)
+
     def test_both_losses_disabled_rejected(self):
         with pytest.raises(ValueError):
             TriADConfig(use_intra=False, use_inter=False)

@@ -9,6 +9,7 @@ names contain dots (submodule paths).
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -100,6 +101,54 @@ class TestPrecisionRoundTrips:
         monkeypatch.undo()  # load under the production precision
         assert encoder_module.COMPUTE_DTYPE is np.float32
         self._assert_reproduces(tmp_path / "legacy.npz", want, np.float64, train_series)
+
+
+def _rewrite_stored_config(src, dst, **extra):
+    """Copy a saved detector, adding ``extra`` keys to its stored config."""
+    with np.load(src) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    meta = json.loads(bytes(payload["__triad_meta__"].tobytes()).decode("utf-8"))
+    meta["config"].update(extra)
+    payload["__triad_meta__"] = np.frombuffer(
+        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    )
+    np.savez_compressed(dst, **payload)
+
+
+class TestRetiredConfigKeys:
+    """Files written while ``TriADConfig`` still had ``discord_mode`` and
+    ``data_parallel_workers`` store both in their config."""
+
+    CONFIG = TriADConfig(depth=2, hidden_dim=8, epochs=1, seed=3, max_window=96)
+
+    def test_retired_keys_dropped_and_detection_identical(self, train_series, tmp_path):
+        fitted = TriAD(self.CONFIG).fit(train_series)
+        save_detector(fitted, tmp_path / "current.npz")
+        _rewrite_stored_config(
+            tmp_path / "current.npz",
+            tmp_path / "older.npz",
+            discord_mode="reference",
+            data_parallel_workers=2,
+        )
+        restored = load_detector(tmp_path / "older.npz")
+        assert restored.config == fitted.config
+
+        test_series = train_series[::-1].copy()
+        want = fitted.detect(test_series)
+        got = restored.detect(test_series)
+        assert got.window == want.window
+        assert np.array_equal(got.predictions, want.predictions)
+        for domain in want.similarity:
+            assert np.array_equal(got.similarity[domain], want.similarity[domain])
+
+    def test_other_unknown_key_still_rejected(self, train_series, tmp_path):
+        fitted = TriAD(self.CONFIG).fit(train_series)
+        save_detector(fitted, tmp_path / "current.npz")
+        _rewrite_stored_config(
+            tmp_path / "current.npz", tmp_path / "odd.npz", warp_factor=9
+        )
+        with pytest.raises(TypeError, match="warp_factor"):
+            load_detector(tmp_path / "odd.npz")
 
 
 class TestModuleRoundTrips:

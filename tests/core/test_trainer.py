@@ -7,7 +7,8 @@ import pytest
 
 from repro import nn
 from repro.core import TriADConfig, TriDomainEncoder, train_encoder
-from repro.core.trainer import _epoch_loss, contrastive_forward_fusion
+from repro.core import trainer
+from repro.core.trainer import _epoch_loss
 from repro.nn import Tensor
 from repro.pipeline import default_pipeline
 
@@ -62,16 +63,21 @@ class TestTrainEncoder:
 
 class TestContrastiveForwardFusion:
     def test_fused_forward_matches_two_pass(
-        self, noisy_wave, fast_config, float64_reference
+        self, noisy_wave, fast_config, float64_reference, monkeypatch
     ):
         """The concatenated [originals; augmented] pass must reproduce the
         two-pass losses: every encoder op is batch-row independent, so
         the only tolerated difference is BLAS rounding the last ulp
         differently for the doubled row count."""
-        with contrastive_forward_fusion(True):
-            fused = train_encoder(noisy_wave, fast_config)
-        with contrastive_forward_fusion(False):
-            two_pass = train_encoder(noisy_wave, fast_config)
+        fused = train_encoder(noisy_wave, fast_config)
+
+        def two_pass_forward(encoder, original_features, augmented_features, size):
+            return encoder(original_features), encoder(augmented_features)
+
+        monkeypatch.setattr(
+            trainer, "_contrastive_representations", two_pass_forward
+        )
+        two_pass = train_encoder(noisy_wave, fast_config)
         assert np.allclose(fused.train_losses, two_pass.train_losses, rtol=1e-12)
         assert np.allclose(fused.val_losses, two_pass.val_losses, rtol=1e-12)
         for (name_a, p_a), (name_b, p_b) in zip(
@@ -115,11 +121,10 @@ class TestFloat32Step:
 
         monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
         monkeypatch.setattr(Tensor, "_accumulate", recording_accumulate)
-        with contrastive_forward_fusion(True):
-            loss = _epoch_loss(
-                encoder, windows, plan.period, config, np.random.default_rng(0),
-                optimizer, features=features,
-            )
+        loss = _epoch_loss(
+            encoder, windows, plan.period, config, np.random.default_rng(0),
+            optimizer, features=features,
+        )
 
         assert np.isfinite(loss)
         assert optimizer._step_count == 1
@@ -130,28 +135,3 @@ class TestFloat32Step:
             assert param.grad.dtype == np.float32, name
         for moment in optimizer._m + optimizer._v:
             assert moment.dtype == np.float32
-
-
-class TestDataParallelTraining:
-    def test_parallel_workers_train(self, noisy_wave):
-        config = TriADConfig(
-            depth=2, hidden_dim=8, epochs=2, seed=0, max_window=128,
-            data_parallel_workers=2,
-        )
-        result = train_encoder(noisy_wave, config)
-        assert len(result.train_losses) == 2
-        assert all(np.isfinite(l) for l in result.train_losses)
-        assert not result.encoder.training
-
-    def test_parallel_reproducible_given_seed(self, noisy_wave):
-        config = TriADConfig(
-            depth=2, hidden_dim=8, epochs=2, seed=0, max_window=128,
-            data_parallel_workers=2,
-        )
-        a = train_encoder(noisy_wave, config)
-        b = train_encoder(noisy_wave, config)
-        assert a.train_losses == b.train_losses
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            TriADConfig(data_parallel_workers=-1)

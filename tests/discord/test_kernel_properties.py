@@ -5,10 +5,13 @@ for any series, subsequence length, and exclusion zone, the blocked and
 fft kernel modes return *identical discord indices* and distances within
 ``1e-9`` of the original scalar implementations — including degenerate
 constant subsequences and the short-series all-``inf`` contract of
-``nearest_neighbor_distances``.
+``nearest_neighbor_distances``.  Each kernel path is forced by patching
+the private ``kernels._DISCORD_MODE``.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +21,12 @@ from hypothesis import strategies as st
 from repro.discord import (
     brute_force_discord,
     damp,
-    discord_mode,
     drag,
     matrix_profile,
     merlin,
     nearest_neighbor_distances,
 )
+from repro.discord import kernels
 from repro.discord.distance import (
     nearest_neighbor_distances as reference_nn_distances,
 )
@@ -56,7 +59,7 @@ def test_nn_profile_matches_reference(seed, length, exclusion_num, constant_run)
     exclusion = max(length * exclusion_num // 4, 1)
     oracle = reference_nn_distances(series, length, exclusion=exclusion)
     for mode in FAST_MODES:
-        with discord_mode(mode):
+        with mock.patch.object(kernels, "_DISCORD_MODE", mode):
             fast = nearest_neighbor_distances(series, length, exclusion=exclusion)
         np.testing.assert_array_equal(np.isinf(fast), np.isinf(oracle), err_msg=mode)
         finite = np.isfinite(oracle)
@@ -69,10 +72,10 @@ def test_drag_matches_reference(seed):
     """Blocked DRAG returns the same discord as the sequential scan."""
     series = make_series(seed)
     length = 16
-    with discord_mode("reference"):
+    with mock.patch.object(kernels, "_DISCORD_MODE", "reference"):
         oracle = drag(series, length, r=1.0)
     for mode in FAST_MODES:
-        with discord_mode(mode):
+        with mock.patch.object(kernels, "_DISCORD_MODE", mode):
             fast = drag(series, length, r=1.0)
         if oracle is None:
             assert fast is None, mode
@@ -91,9 +94,9 @@ def test_drag_success_threshold_agrees(seed):
     length = 12
     top = brute_force_discord(series, length, exclusion=length)
     for r, should_find in ((top.distance * 0.999, True), (top.distance * 1.5, None)):
-        with discord_mode("reference"):
+        with mock.patch.object(kernels, "_DISCORD_MODE", "reference"):
             oracle = drag(series, length, r)
-        with discord_mode("blocked"):
+        with mock.patch.object(kernels, "_DISCORD_MODE", "blocked"):
             fast = drag(series, length, r)
         assert (oracle is None) == (fast is None)
         if should_find:
@@ -106,10 +109,10 @@ def test_merlin_matches_reference(seed, constant_run):
     """The full MERLIN sweep — lower-bound seeding, pre-pruning and all —
     finds identical discords in every mode."""
     series = make_series(seed, constant_run=constant_run)
-    with discord_mode("reference"):
+    with mock.patch.object(kernels, "_DISCORD_MODE", "reference"):
         oracle = merlin(series, 8, 40, step=8)
     for mode in FAST_MODES:
-        with discord_mode(mode):
+        with mock.patch.object(kernels, "_DISCORD_MODE", mode):
             fast = merlin(series, 8, 40, step=8)
         assert [(d.index, d.length) for d in fast.discords] == [
             (d.index, d.length) for d in oracle.discords
@@ -123,11 +126,11 @@ def test_merlin_matches_reference(seed, constant_run):
 def test_matrix_profile_and_damp_match_reference(seed):
     series = make_series(seed)
     length = 14
-    with discord_mode("reference"):
+    with mock.patch.object(kernels, "_DISCORD_MODE", "reference"):
         mp_oracle = matrix_profile(series, length)
         damp_oracle = damp(series, length)
     for mode in FAST_MODES:
-        with discord_mode(mode):
+        with mock.patch.object(kernels, "_DISCORD_MODE", mode):
             mp_fast = matrix_profile(series, length)
             damp_fast = damp(series, length)
         np.testing.assert_array_equal(mp_fast.indices, mp_oracle.indices, err_msg=mode)
@@ -154,7 +157,7 @@ def test_short_series_all_inf_contract(n, length):
     count = n - length + 1
     exclusion = count  # |i - j| < count always holds
     for mode in ("reference", *FAST_MODES):
-        with discord_mode(mode):
+        with mock.patch.object(kernels, "_DISCORD_MODE", mode):
             profile = nearest_neighbor_distances(series, length, exclusion=exclusion)
         assert profile.shape == (count,)
         assert np.isinf(profile).all(), mode

@@ -1,6 +1,6 @@
 """Unit tests for the shared discord kernel layer.
 
-Covers the mode-dispatch family, ``SeriesContext`` moment/z-norm reuse,
+Covers the kernel selection rule, ``SeriesContext`` moment/z-norm reuse,
 the one documented home for exclusion-zone defaults (pinning each
 algorithm's effective zone), and the ``StreamingDiscordDetector``
 ``baseline_window`` parameter.
@@ -8,22 +8,22 @@ algorithm's effective zone), and the ``StreamingDiscordDetector``
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.discord import (
     StreamingDiscordDetector,
     default_exclusion,
-    discord_mode,
     drag,
-    get_discord_mode,
     matrix_profile,
     nearest_neighbor_distances,
-    set_discord_mode,
     top_k_discords,
     top_k_motifs,
     znorm_subsequences,
 )
+from repro.discord import kernels
 from repro.discord.distance import (
     nearest_neighbor_distances as reference_nn_distances,
 )
@@ -48,25 +48,9 @@ def series(rng):
 # ----------------------------------------------------------------------
 class TestModeDispatch:
     def test_default_mode_is_auto(self):
-        assert get_discord_mode() == "auto"
-
-    def test_set_returns_previous_and_rejects_unknown(self):
-        previous = set_discord_mode("blocked")
-        try:
-            assert previous == "auto"
-            assert get_discord_mode() == "blocked"
-            with pytest.raises(ValueError, match="unknown discord mode"):
-                set_discord_mode("simd")
-            assert get_discord_mode() == "blocked"
-        finally:
-            set_discord_mode(previous)
-
-    def test_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with discord_mode("reference"):
-                assert get_discord_mode() == "reference"
-                raise RuntimeError("boom")
-        assert get_discord_mode() == "auto"
+        assert kernels._DISCORD_MODE == "auto"
+        assert not kernels._reference_active()
+        assert resolve_mode(None, 16, 10_000) == "blocked"
 
     def test_auto_resolution_thresholds(self):
         assert resolve_mode("auto", 16, 10_000) == "blocked"
@@ -74,8 +58,6 @@ class TestModeDispatch:
         assert resolve_mode("auto", AUTO_FFT_MIN_LENGTH, 10) == "blocked"
         assert resolve_mode("blocked", 10_000, 10_000) == "blocked"
         assert resolve_mode("reference", 10_000, 10_000) == "reference"
-        with pytest.raises(ValueError, match="unknown discord mode"):
-            resolve_mode("simd", 16, 16)
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +182,7 @@ class TestKernelEntryPoint:
         # count = 5 subsequences under exclusion 8: every pair banned.
         s = np.sin(np.arange(12))
         for mode in ("reference", "blocked", "fft"):
-            with discord_mode(mode):
+            with mock.patch.object(kernels, "_DISCORD_MODE", mode):
                 profile = nearest_neighbor_distances(s, 8, exclusion=8)
             assert profile.shape == (5,)
             assert np.isinf(profile).all(), mode
@@ -208,7 +190,7 @@ class TestKernelEntryPoint:
     def test_matches_reference_oracle(self, series):
         oracle = reference_nn_distances(series, 16)
         for mode in ("blocked", "fft"):
-            with discord_mode(mode):
+            with mock.patch.object(kernels, "_DISCORD_MODE", mode):
                 fast = nearest_neighbor_distances(series, 16)
             np.testing.assert_allclose(fast, oracle, atol=1e-9)
 

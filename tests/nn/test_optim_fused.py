@@ -3,7 +3,8 @@
 The fused ``step()`` implementations replay the reference update rules
 with in-place ufuncs over preallocated scratch — same operations, same
 rounding order — so trajectories must be *bit-identical* to the
-allocation-per-step reference, not merely close.  ``np.array_equal``
+allocation-per-step reference (``_step_reference()``, called directly),
+not merely close.  ``np.array_equal``
 (no tolerance) is the whole point of these tests.
 """
 
@@ -14,7 +15,6 @@ import pytest
 
 from repro import nn
 from repro.nn import Parameter
-from repro.nn.optim import fused_enabled, fused_optimizers, set_fused_optimizers
 
 FACTORIES = {
     "sgd": lambda params: nn.SGD(params, lr=0.05),
@@ -39,13 +39,13 @@ def _trajectory(factory, fused: bool, steps: int = 50) -> list[np.ndarray]:
     ]
     optimizer = factory(params)
     grad_rng = np.random.default_rng(7)
+    step = optimizer.step if fused else optimizer._step_reference
     snapshots = []
-    with fused_optimizers(fused):
-        for _ in range(steps):
-            for p in params:
-                p.grad = grad_rng.normal(size=p.shape)
-            optimizer.step()
-            snapshots.append([p.data.copy() for p in params])
+    for _ in range(steps):
+        for p in params:
+            p.grad = grad_rng.normal(size=p.shape)
+        step()
+        snapshots.append([p.data.copy() for p in params])
     return snapshots
 
 
@@ -70,27 +70,15 @@ class TestBitIdentity:
         assert not np.array_equal(p.data, np.ones(3))
 
 
+
 class TestToggle:
     def test_default_is_fused(self):
-        assert fused_enabled()
-
-    def test_set_returns_previous(self):
-        assert set_fused_optimizers(False) is True
-        try:
-            assert fused_enabled() is False
-            assert set_fused_optimizers(True) is False
-        finally:
-            set_fused_optimizers(True)
-
-    def test_context_manager_restores(self):
-        with fused_optimizers(False):
-            assert not fused_enabled()
-            with fused_optimizers(True):
-                assert fused_enabled()
-            assert not fused_enabled()
-        assert fused_enabled()
-
-    def test_exports_on_nn_namespace(self):
-        assert nn.fused_enabled is fused_enabled
-        assert nn.fused_optimizers is fused_optimizers
-        assert nn.set_fused_optimizers is set_fused_optimizers
+        """``step()`` is the fused path: it runs on preallocated scratch,
+        which the reference never allocates."""
+        p = Parameter(np.ones(3))
+        optimizer = nn.Adam([p], lr=0.1)
+        p.grad = np.full(3, 0.5)
+        optimizer._step_reference()
+        assert optimizer._scratch is None
+        optimizer.step()
+        assert optimizer._scratch is not None
